@@ -3,30 +3,32 @@
 //! ```text
 //! cargo run -p sim --bin repro --release                   # everything
 //! cargo run -p sim --bin repro --release -- fig7           # one experiment
-//! cargo run -p sim --bin repro --release -- --out results  # + .txt/.json files
+//! cargo run -p sim --bin repro --release -- --out results  # + .txt/.json/.csv/.svg files
 //! cargo run -p sim --bin repro --release -- --list         # list names
 //! ```
+//!
+//! Exit codes: 0 ok, 1 an output file could not be written, 2 bad
+//! arguments (including an unknown experiment name).
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use sim::experiments::{self, ALL};
+
+const USAGE: &str = "usage: repro [--list] [--out DIR] [EXPERIMENT...]";
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "usage: repro [--list] [--out DIR] [EXPERIMENT...]\n\
-             experiments: {} headline (default: all)",
-            sim::experiments::ALL.join(" ")
-        );
+        println!("{USAGE}\nexperiments: {} (default: all)", ALL.join(" "));
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list") {
-        for name in sim::experiments::ALL {
+        for name in ALL {
             println!("{name}");
         }
-        println!("headline");
         return ExitCode::SUCCESS;
     }
     let out_dir: Option<PathBuf> = args.iter().position(|a| a == "--out").map(|i| {
@@ -46,38 +48,24 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let selected: Vec<String> = if args.is_empty() {
-        sim::experiments::ALL
-            .iter()
-            .map(|s| s.to_string())
-            .chain(std::iter::once("headline".to_string()))
-            .collect()
+    let selected: Vec<&str> = if args.is_empty() {
+        ALL.to_vec()
     } else {
-        args
+        args.iter().map(String::as_str).collect()
     };
-    for name in &selected {
-        let text = sim::experiments::render(name);
+    for name in selected {
+        let out = match experiments::run(name) {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("repro: {e}\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        };
         println!("{}", "=".repeat(72));
-        println!("{text}");
+        println!("{}", out.text);
         if let Some(dir) = &out_dir {
-            if let Err(e) = fs::write(dir.join(format!("{name}.txt")), &text) {
-                eprintln!("cannot write {name}.txt: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Some(json) = sim::experiments::json(name) {
-                if let Err(e) = fs::write(dir.join(format!("{name}.json")), json) {
-                    eprintln!("cannot write {name}.json: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(csv) = sim::experiments::csv(name) {
-                if let Err(e) = fs::write(dir.join(format!("{name}.csv")), csv) {
-                    eprintln!("cannot write {name}.csv: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            for (file, svg) in sim::experiments::svgs(name) {
-                if let Err(e) = fs::write(dir.join(&file), svg) {
+            for (file, contents) in &out.files {
+                if let Err(e) = fs::write(dir.join(file), contents) {
                     eprintln!("cannot write {file}: {e}");
                     return ExitCode::FAILURE;
                 }

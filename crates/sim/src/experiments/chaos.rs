@@ -240,44 +240,17 @@ impl ChaosCliff {
             t.render()
         )
     }
-
-    /// Export the series as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut t = Table::new(
-            [
-                "mult",
-                "natural_pct",
-                "smc_pct",
-                "natural_p99_slack",
-                "smc_p99_slack",
-                "outages_observed",
-                "mttr_cycles",
-                "retries",
-                "shed",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.mult.to_string(),
-                format!("{:.3}", r.natural_pct),
-                format!("{:.3}", r.smc_pct),
-                r.natural_p99_slack.to_string(),
-                r.smc_p99_slack.to_string(),
-                r.outages_observed.to_string(),
-                r.mttr_cycles.to_string(),
-                r.retries.to_string(),
-                r.shed.to_string(),
-            ]);
-        }
-        t.to_csv()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sweep, computed once for every test in this module.
+    fn run() -> &'static ChaosCliff {
+        static CLIFF: std::sync::OnceLock<ChaosCliff> = std::sync::OnceLock::new();
+        CLIFF.get_or_init(super::run)
+    }
 
     #[test]
     fn bandwidth_degrades_monotonically_with_severity() {
@@ -308,7 +281,7 @@ mod tests {
 
     #[test]
     fn smc_beats_natural_order_at_every_severity() {
-        for r in run().rows {
+        for r in &run().rows {
             assert!(r.smc_pct > r.natural_pct, "{}x", r.mult);
         }
     }

@@ -114,6 +114,12 @@ impl Extra {
 mod tests {
     use super::*;
 
+    /// The sweep, computed once for every test in this module.
+    fn run() -> &'static Extra {
+        static EXTRA: std::sync::OnceLock<Extra> = std::sync::OnceLock::new();
+        EXTRA.get_or_init(super::run)
+    }
+
     #[test]
     fn smc_is_uniformly_good_while_natural_order_varies() {
         let e = run();

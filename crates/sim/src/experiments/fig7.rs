@@ -52,6 +52,29 @@ pub struct Fig7Panel {
     pub rows: Vec<Fig7Row>,
 }
 
+/// One (panel, depth) sample with its panel's header, for the CSV.
+#[derive(Debug, Serialize)]
+pub(crate) struct Fig7FlatRow {
+    /// Panel label ("a" through "p").
+    pub panel: char,
+    /// Kernel name.
+    pub kernel: &'static str,
+    /// Vector length in elements.
+    pub n: u64,
+    /// Memory organization label.
+    pub memory: &'static str,
+    /// FIFO depth in elements.
+    pub fifo: usize,
+    /// Combined analytic SMC bound, percent of peak.
+    pub smc_bound: f64,
+    /// Simulated SMC, staggered vectors.
+    pub staggered: f64,
+    /// Simulated SMC, aligned vectors.
+    pub aligned: f64,
+    /// The panel's natural-order cacheline limit.
+    pub cache_limit: f64,
+}
+
 /// The full figure.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig7 {
@@ -201,39 +224,25 @@ impl Fig7 {
             .collect()
     }
 
-    /// Flatten all panels into one CSV (one row per panel x depth).
-    pub fn to_csv(&self) -> String {
-        let mut t = Table::new(
-            [
-                "panel",
-                "kernel",
-                "n",
-                "memory",
-                "fifo",
-                "smc_bound",
-                "staggered",
-                "aligned",
-                "cache_limit",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
-        for p in &self.panels {
-            for r in &p.rows {
-                t.row(vec![
-                    p.label.to_string(),
-                    p.kernel.name().into(),
-                    p.n.to_string(),
-                    p.memory.label().into(),
-                    r.depth.to_string(),
-                    format!("{:.3}", r.smc_bound),
-                    format!("{:.3}", r.staggered),
-                    format!("{:.3}", r.aligned),
-                    format!("{:.3}", p.cache_limit),
-                ]);
-            }
-        }
-        t.to_csv()
+    /// Every panel's series flattened to one row per (panel, depth), the
+    /// figure's CSV.
+    pub(crate) fn flat_rows(&self) -> Vec<Fig7FlatRow> {
+        self.panels
+            .iter()
+            .flat_map(|p| {
+                p.rows.iter().map(move |r| Fig7FlatRow {
+                    panel: p.label,
+                    kernel: p.kernel.name(),
+                    n: p.n,
+                    memory: p.memory.label(),
+                    fifo: r.depth,
+                    smc_bound: r.smc_bound,
+                    staggered: r.staggered,
+                    aligned: r.aligned,
+                    cache_limit: p.cache_limit,
+                })
+            })
+            .collect()
     }
 
     /// Render every panel as a table.

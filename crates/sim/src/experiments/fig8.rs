@@ -105,25 +105,6 @@ impl Fig8 {
         .render_svg()
     }
 
-    /// Export the series as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut t = Table::new(
-            ["stride", "cli_bound", "pi_bound", "cli_sim", "pi_sim"]
-                .map(String::from)
-                .to_vec(),
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.stride.to_string(),
-                format!("{:.3}", r.cli_bound),
-                format!("{:.3}", r.pi_bound),
-                format!("{:.3}", r.cli_sim),
-                format!("{:.3}", r.pi_sim),
-            ]);
-        }
-        t.to_csv()
-    }
-
     /// Render the stride table.
     pub fn render(&self) -> String {
         let mut t = Table::new(vec![
@@ -152,6 +133,12 @@ impl Fig8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sweep, computed once for every test in this module.
+    fn run() -> &'static Fig8 {
+        static FIG8: std::sync::OnceLock<Fig8> = std::sync::OnceLock::new();
+        FIG8.get_or_init(super::run)
+    }
 
     #[test]
     fn bounds_fall_with_stride_then_flatten_on_cli() {
@@ -191,7 +178,7 @@ mod tests {
 
     #[test]
     fn pi_dominates_cli_at_every_stride() {
-        for r in run().rows {
+        for r in &run().rows {
             assert!(r.pi_bound > r.cli_bound, "stride {}", r.stride);
         }
     }

@@ -101,33 +101,6 @@ impl Fig9 {
         .render_svg()
     }
 
-    /// Export the series as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut t = Table::new(
-            [
-                "stride",
-                "pi_smc",
-                "cli_smc",
-                "pi_cache",
-                "cli_cache",
-                "cli_smc_bound",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.stride.to_string(),
-                format!("{:.3}", r.pi_smc),
-                format!("{:.3}", r.cli_smc),
-                format!("{:.3}", r.pi_cache),
-                format!("{:.3}", r.cli_cache),
-                format!("{:.3}", r.cli_smc_bound),
-            ]);
-        }
-        t.to_csv()
-    }
-
     /// Render the stride table.
     pub fn render(&self) -> String {
         let mut t = Table::new(vec![
@@ -160,6 +133,12 @@ impl Fig9 {
 mod tests {
     use super::*;
 
+    /// The sweep, computed once for every test in this module.
+    fn run() -> &'static Fig9 {
+        static FIG9: std::sync::OnceLock<Fig9> = std::sync::OnceLock::new();
+        FIG9.get_or_init(super::run)
+    }
+
     #[test]
     fn smc_beats_cache_for_moderate_strides() {
         let f = run();
@@ -172,7 +151,7 @@ mod tests {
 
     #[test]
     fn cli_sim_tracks_the_bank_coverage_bound() {
-        for r in run().rows {
+        for r in &run().rows {
             assert!(
                 r.cli_smc <= r.cli_smc_bound + 3.0,
                 "stride {}: sim {} above bound {}",

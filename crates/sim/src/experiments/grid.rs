@@ -15,10 +15,8 @@ use crate::{run_kernel, RunResult, SystemConfig};
 pub struct KernelJob {
     /// Kernel to run.
     pub kernel: Kernel,
-    /// Elements per stream.
+    /// Elements per stream (unit stride).
     pub n: u64,
-    /// Stride in 64-bit words.
-    pub stride: u64,
     /// System configuration.
     pub config: SystemConfig,
 }
@@ -26,18 +24,7 @@ pub struct KernelJob {
 impl KernelJob {
     /// A unit-stride job.
     pub fn new(kernel: Kernel, n: u64, config: SystemConfig) -> Self {
-        KernelJob {
-            kernel,
-            n,
-            stride: 1,
-            config,
-        }
-    }
-
-    /// The same job at a non-unit stride.
-    pub fn with_stride(mut self, stride: u64) -> Self {
-        self.stride = stride;
-        self
+        KernelJob { kernel, n, config }
     }
 }
 
@@ -74,12 +61,11 @@ where
 /// experiment grids are all fault-free by construction.
 pub fn run_all(jobs: &[KernelJob]) -> Vec<RunResult> {
     sweep(jobs, |job| {
-        run_kernel(job.kernel, job.n, job.stride, &job.config).unwrap_or_else(|e| {
+        run_kernel(job.kernel, job.n, 1, &job.config).unwrap_or_else(|e| {
             panic!(
-                "experiment job failed: {} n={} stride={}: {e}",
+                "experiment job failed: {} n={}: {e}",
                 job.kernel.name(),
-                job.n,
-                job.stride
+                job.n
             )
         })
     })
@@ -104,7 +90,7 @@ mod tests {
             .collect();
         let parallel = run_all(&jobs);
         for (job, got) in jobs.iter().zip(&parallel) {
-            let serial = run_kernel(job.kernel, job.n, job.stride, &job.config).unwrap();
+            let serial = run_kernel(job.kernel, job.n, 1, &job.config).unwrap();
             assert_eq!(got.cycles, serial.cycles);
             assert_eq!(got.useful_words, serial.useful_words);
         }

@@ -149,44 +149,21 @@ impl NumaCliff {
             t.render()
         )
     }
-
-    /// Export the series as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut t = Table::new(
-            [
-                "kernel",
-                "natural_local",
-                "natural_interleaved",
-                "natural_remote",
-                "smc_local",
-                "smc_interleaved",
-                "smc_remote",
-            ]
-            .map(String::from)
-            .to_vec(),
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.kernel.clone(),
-                format!("{:.3}", r.natural_local),
-                format!("{:.3}", r.natural_interleaved),
-                format!("{:.3}", r.natural_remote),
-                format!("{:.3}", r.smc_local),
-                format!("{:.3}", r.smc_interleaved),
-                format!("{:.3}", r.smc_remote),
-            ]);
-        }
-        t.to_csv()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The sweep, computed once for every test in this module.
+    fn run() -> &'static NumaCliff {
+        static CLIFF: std::sync::OnceLock<NumaCliff> = std::sync::OnceLock::new();
+        CLIFF.get_or_init(super::run)
+    }
+
     #[test]
     fn remote_placement_falls_off_a_cliff_on_every_kernel() {
-        for r in run().rows {
+        for r in &run().rows {
             // Asymmetric remote placement loses bandwidth against the
             // interleaved placement for both controllers...
             assert!(
@@ -212,7 +189,7 @@ mod tests {
 
     #[test]
     fn smc_retains_more_of_its_local_bandwidth_than_natural_order() {
-        for r in run().rows {
+        for r in &run().rows {
             assert!(
                 r.smc_retained() > r.natural_retained(),
                 "{}: smc retains {:.1}% vs natural {:.1}%",
@@ -232,7 +209,7 @@ mod tests {
 
     #[test]
     fn smc_beats_natural_order_at_every_placement() {
-        for r in run().rows {
+        for r in &run().rows {
             assert!(r.smc_local > r.natural_local, "{}", r.kernel);
             assert!(r.smc_interleaved > r.natural_interleaved, "{}", r.kernel);
             assert!(r.smc_remote > r.natural_remote, "{}", r.kernel);

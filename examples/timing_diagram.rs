@@ -11,8 +11,10 @@ use rdram::trace;
 use sim::{run_kernel, MemorySystem, SystemConfig};
 
 fn main() {
-    println!("{}", sim::experiments::render("fig5"));
-    println!("{}", sim::experiments::render("fig6"));
+    for name in ["fig5", "fig6"] {
+        let out = sim::experiments::run(name).expect("known experiment");
+        println!("{}", out.text);
+    }
 
     // The same stream population through the SMC: triad has the identical
     // 2-read / 1-write signature. Note the bus staying saturated.
