@@ -15,43 +15,47 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use sim::cli::Flags;
 use sim::experiments::{self, ALL};
 
 const USAGE: &str = "usage: repro [--list] [--out DIR] [EXPERIMENT...]";
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = env::args().skip(1).collect();
+    let args: Vec<String> = env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}\nexperiments: {} (default: all)", ALL.join(" "));
         return ExitCode::SUCCESS;
     }
-    if args.iter().any(|a| a == "--list") {
+    let flags = match Flags::parse(
+        "",
+        USAGE,
+        &[("--list", false), ("--out", true)],
+        true,
+        &args,
+    ) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if flags.has("--list") {
         for name in ALL {
             println!("{name}");
         }
         return ExitCode::SUCCESS;
     }
-    let out_dir: Option<PathBuf> = args.iter().position(|a| a == "--out").map(|i| {
-        let dir = args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--out requires a directory");
-                std::process::exit(2);
-            })
-            .clone();
-        args.drain(i..=i + 1);
-        PathBuf::from(dir)
-    });
+    let out_dir = flags.value("--out").map(PathBuf::from);
     if let Some(dir) = &out_dir {
         if let Err(e) = fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
     }
-    let selected: Vec<&str> = if args.is_empty() {
+    let selected = if flags.positionals.is_empty() {
         ALL.to_vec()
     } else {
-        args.iter().map(String::as_str).collect()
+        flags.positionals
     };
     for name in selected {
         let out = match experiments::run(name) {

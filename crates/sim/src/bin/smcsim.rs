@@ -1,96 +1,22 @@
 //! `smcsim` — run one streaming computation on a configurable Direct RDRAM
 //! memory system and report effective bandwidth.
 //!
-//! See `smcsim --help` for the options.
+//! See `smcsim --help` for the options. Exit codes: 0 ok, 1 a failed run,
+//! a conformance violation or a gate regression, 2 bad arguments.
 
 use std::env;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", sim::cli::USAGE);
-        return ExitCode::SUCCESS;
-    }
-    if args.first().map(String::as_str) == Some("check") {
-        let Some(path) = args.get(1) else {
-            eprintln!("smcsim: check needs a trace file\n{}", sim::cli::USAGE);
-            return ExitCode::from(2);
-        };
-        return match sim::cli::run_check(path) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return match sim::cli::run_report(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        return match sim::cli::run_campaign_cmd(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return match sim::cli::run_serve_cmd(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return match sim::cli::run_bench(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let job = match sim::cli::parse(&args) {
-        Ok(job) => job,
-        Err(e) => {
-            eprintln!("smcsim: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match sim::cli::execute(&job) {
+    match sim::cli::run(&args) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("smcsim: {e}");
-            ExitCode::FAILURE
+        Err((code, message)) => {
+            eprintln!("smcsim: {message}");
+            ExitCode::from(code)
         }
     }
 }

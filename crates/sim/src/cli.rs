@@ -7,6 +7,8 @@
 //! smcsim check copy.trace.json
 //! ```
 
+use std::fmt::Display;
+
 use checker::TraceFile;
 use kernels::Kernel;
 use telemetry::Profiler;
@@ -156,6 +158,156 @@ usage: smcsim [OPTIONS]
   --explain         print the analytic bound derivation (Eqs. 5.15-5.18)
   --help";
 
+/// The flags one command accepts: each flag's name and whether it takes a
+/// value.
+pub type FlagTable = [(&'static str, bool)];
+
+/// Command-line arguments parsed against a [`FlagTable`]: the flags given,
+/// in order, and the arguments that are not flags.
+#[derive(Debug)]
+pub struct Flags<'a> {
+    given: Vec<(&'static str, &'a str)>,
+    /// The arguments that are not flags, in order.
+    pub positionals: Vec<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Parse `args` against `table`. A flag that takes a value consumes the
+    /// next argument, which must not itself start with `--`. With
+    /// `positionals`, other arguments that do not start with `--` are
+    /// collected; any other argument is an unknown option of command `cmd`
+    /// (empty for a program's top-level form).
+    ///
+    /// # Errors
+    ///
+    /// `{flag} needs a value`, or `{cmd}: unknown option {arg:?}` followed
+    /// by `usage`.
+    pub fn parse(
+        cmd: &str,
+        usage: &str,
+        table: &FlagTable,
+        positionals: bool,
+        args: &'a [String],
+    ) -> Result<Self, String> {
+        let mut flags = Flags {
+            given: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match table.iter().find(|(name, _)| name == arg) {
+                Some(&(name, true)) => {
+                    let value = args
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value"))?;
+                    flags.given.push((name, value));
+                }
+                Some(&(name, false)) => flags.given.push((name, "")),
+                None if positionals && !arg.starts_with("--") => flags.positionals.push(arg),
+                None => {
+                    let sep = if cmd.is_empty() { "" } else { ": " };
+                    return Err(format!("{cmd}{sep}unknown option {arg:?}\n{usage}"));
+                }
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|&(name, _)| name == flag)
+    }
+
+    /// The value of the last `flag` given.
+    pub fn value(&self, flag: &str) -> Option<&'a str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|&&(name, _)| name == flag)
+            .map(|&(_, value)| value)
+    }
+
+    /// The value of the last `flag` given, converted by `parse`.
+    ///
+    /// # Errors
+    ///
+    /// `{flag}: {err}` when `parse` rejects the value.
+    pub fn get<T, E: Display>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&'a str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| parse(v).map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+}
+
+/// The system flags the single-run form and `serve` share, applied by
+/// [`apply_system_flags`].
+const SYSTEM_FLAGS: &FlagTable = &[
+    ("--memory", true),
+    ("--fifo", true),
+    ("--channels", true),
+    ("--placement", true),
+    ("--remote-penalty", true),
+    ("--faults", true),
+    ("--fault-seed", true),
+];
+
+/// Apply [`SYSTEM_FLAGS`] to `cfg`; `--fifo` sets the depth of an SMC
+/// ordering.
+fn apply_system_flags(f: &Flags, cfg: &mut SystemConfig) -> Result<(), String> {
+    cfg.memory = f
+        .get("--memory", |v| match v {
+            "cli" => Ok(MemorySystem::CacheLineInterleaved),
+            "pi" => Ok(MemorySystem::PageInterleaved),
+            other => Err(format!("must be cli or pi, got {other:?}")),
+        })?
+        .unwrap_or(cfg.memory);
+    if let AccessOrder::Smc { fifo_depth } = &mut cfg.ordering {
+        *fifo_depth = f.get("--fifo", str::parse)?.unwrap_or(*fifo_depth);
+    }
+    cfg.channels = f.get("--channels", str::parse)?.unwrap_or(cfg.channels);
+    cfg.placement = f
+        .get("--placement", memsys::Placement::parse)?
+        .unwrap_or(cfg.placement);
+    if let Some(penalties) = f.get("--remote-penalty", |v| {
+        v.split(',').map(|p| p.trim().parse()).collect()
+    })? {
+        cfg.remote_penalty = penalties;
+    }
+    if let Some(plan) = f.get("--faults", faults::FaultPlan::parse)? {
+        cfg.faults = Some(plan);
+    }
+    cfg.fault_seed = f.get("--fault-seed", str::parse)?.unwrap_or(cfg.fault_seed);
+    Ok(())
+}
+
+/// The single-run form's flags besides [`SYSTEM_FLAGS`].
+const RUN_FLAGS: &FlagTable = &[
+    ("--kernel", true),
+    ("--n", true),
+    ("--stride", true),
+    ("--order", true),
+    ("--policy", true),
+    ("--devices", true),
+    ("--cpu-cycles", true),
+    ("--aligned", false),
+    ("--spec", false),
+    ("--refresh", false),
+    ("--write-allocate", false),
+    ("--cache", false),
+    ("--record-trace", true),
+    ("--metrics-out", true),
+    ("--perfetto-out", true),
+    ("--attribution-out", true),
+    ("--prom-out", true),
+    ("--json", false),
+    ("--explain", false),
+];
+
 /// Parse command-line arguments (without the program name).
 ///
 /// # Errors
@@ -163,139 +315,97 @@ usage: smcsim [OPTIONS]
 /// Returns a human-readable message for unknown flags, missing values, or
 /// invalid parameter combinations.
 pub fn parse(args: &[String]) -> Result<Job, String> {
+    let f = Flags::parse("", USAGE, &[SYSTEM_FLAGS, RUN_FLAGS].concat(), false, args)?;
     let mut job = Job::default();
-    let mut fifo = 64usize;
-    let mut order = "smc".to_string();
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--kernel" => {
-                let v = value(args, &mut i, "--kernel")?;
-                job.kernel = Kernel::ALL
-                    .into_iter()
-                    .find(|k| k.name() == v)
-                    .ok_or_else(|| format!("unknown kernel {v:?}"))?;
-            }
-            "--n" => {
-                job.n = value(args, &mut i, "--n")?
-                    .parse()
-                    .map_err(|e| format!("--n: {e}"))?;
-            }
-            "--stride" => {
-                job.stride = value(args, &mut i, "--stride")?
-                    .parse()
-                    .map_err(|e| format!("--stride: {e}"))?;
-            }
-            "--memory" => {
-                job.config.memory = match value(args, &mut i, "--memory")?.as_str() {
-                    "cli" => MemorySystem::CacheLineInterleaved,
-                    "pi" => MemorySystem::PageInterleaved,
-                    other => return Err(format!("--memory must be cli or pi, got {other:?}")),
-                };
-            }
-            "--order" => order = value(args, &mut i, "--order")?,
-            "--fifo" => {
-                fifo = value(args, &mut i, "--fifo")?
-                    .parse()
-                    .map_err(|e| format!("--fifo: {e}"))?;
-            }
-            "--policy" => {
-                job.config.policy = match value(args, &mut i, "--policy")?.as_str() {
-                    "rr" | "round-robin" => smc::Policy::RoundRobin,
-                    "bank-aware" | "ba" => smc::Policy::BankAware,
-                    other => return Err(format!("unknown policy {other:?}")),
-                };
-            }
-            "--devices" => {
-                job.config.device.devices = value(args, &mut i, "--devices")?
-                    .parse()
-                    .map_err(|e| format!("--devices: {e}"))?;
-            }
-            "--channels" => {
-                job.config.channels = value(args, &mut i, "--channels")?
-                    .parse()
-                    .map_err(|e| format!("--channels: {e}"))?;
-            }
-            "--placement" => {
-                let spec = value(args, &mut i, "--placement")?;
-                job.config.placement =
-                    memsys::Placement::parse(&spec).map_err(|e| format!("--placement: {e}"))?;
-            }
-            "--remote-penalty" => {
-                let spec = value(args, &mut i, "--remote-penalty")?;
-                job.config.remote_penalty = spec
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|e| format!("--remote-penalty: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--cpu-cycles" => {
-                job.config.cpu_access_cycles = value(args, &mut i, "--cpu-cycles")?
-                    .parse()
-                    .map_err(|e| format!("--cpu-cycles: {e}"))?;
-            }
-            "--aligned" => job.config.alignment = Alignment::Aligned,
-            "--spec" => job.config.speculative = true,
-            "--refresh" => job.config.refresh = true,
-            "--write-allocate" => job.config.write_allocate = true,
-            "--cache" => {
-                job.config.cache = Some(baseline::cache::CacheConfig::i860xp());
-            }
-            "--faults" => {
-                let spec = value(args, &mut i, "--faults")?;
-                job.config.faults =
-                    Some(faults::FaultPlan::parse(&spec).map_err(|e| e.to_string())?);
-            }
-            "--fault-seed" => {
-                job.config.fault_seed = value(args, &mut i, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--record-trace" => {
-                let path = value(args, &mut i, "--record-trace")?;
-                job.config.record_commands = true;
-                job.record_trace = Some(path);
-            }
-            "--metrics-out" => {
-                job.config.telemetry = true;
-                job.metrics_out = Some(value(args, &mut i, "--metrics-out")?);
-            }
-            "--perfetto-out" => {
-                job.config.telemetry = true;
-                job.perfetto_out = Some(value(args, &mut i, "--perfetto-out")?);
-            }
-            "--attribution-out" => {
-                job.config.telemetry = true;
-                job.attribution_out = Some(value(args, &mut i, "--attribution-out")?);
-            }
-            "--prom-out" => {
-                job.config.telemetry = true;
-                job.prom_out = Some(value(args, &mut i, "--prom-out")?);
-            }
-            "--json" => job.json = true,
-            "--explain" => job.explain = true,
-            other => return Err(format!("unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    job.config.ordering = match order.as_str() {
-        "smc" => AccessOrder::Smc { fifo_depth: fifo },
-        "natural" => AccessOrder::NaturalOrder,
+    let c = &mut job.config;
+    apply_system_flags(&f, c)?;
+    match f.value("--order").unwrap_or("smc") {
+        "smc" => {}
+        "natural" => c.ordering = AccessOrder::NaturalOrder,
         other => return Err(format!("--order must be smc or natural, got {other:?}")),
-    };
+    }
+    c.policy = f
+        .get("--policy", |v| match v {
+            "rr" | "round-robin" => Ok(smc::Policy::RoundRobin),
+            "bank-aware" | "ba" => Ok(smc::Policy::BankAware),
+            other => Err(format!("unknown policy {other:?}")),
+        })?
+        .unwrap_or(c.policy);
+    c.device.devices = f.get("--devices", str::parse)?.unwrap_or(c.device.devices);
+    c.cpu_access_cycles = f
+        .get("--cpu-cycles", str::parse)?
+        .unwrap_or(c.cpu_access_cycles);
+    if f.has("--aligned") {
+        c.alignment = Alignment::Aligned;
+    }
+    c.speculative = f.has("--spec");
+    c.refresh = f.has("--refresh");
+    c.write_allocate = f.has("--write-allocate");
+    if f.has("--cache") {
+        c.cache = Some(baseline::cache::CacheConfig::i860xp());
+    }
+    job.kernel = f
+        .get("--kernel", |v| {
+            Kernel::ALL
+                .into_iter()
+                .find(|k| k.name() == v)
+                .ok_or_else(|| format!("unknown kernel {v:?}"))
+        })?
+        .unwrap_or(job.kernel);
+    job.n = f.get("--n", str::parse)?.unwrap_or(job.n);
+    job.stride = f.get("--stride", str::parse)?.unwrap_or(job.stride);
+    let path = |flag| f.value(flag).map(String::from);
+    job.record_trace = path("--record-trace");
+    job.metrics_out = path("--metrics-out");
+    job.perfetto_out = path("--perfetto-out");
+    job.attribution_out = path("--attribution-out");
+    job.prom_out = path("--prom-out");
+    job.config.record_commands = job.record_trace.is_some();
+    job.config.telemetry = job.metrics_out.is_some()
+        || job.perfetto_out.is_some()
+        || job.attribution_out.is_some()
+        || job.prom_out.is_some();
+    job.json = f.has("--json");
+    job.explain = f.has("--explain");
     if job.n == 0 || job.stride == 0 {
         return Err("--n and --stride must be positive".into());
     }
     Ok(job)
+}
+
+/// A parsed command line, ready to run.
+type Action<'a> = Box<dyn FnOnce() -> Result<String, String> + 'a>;
+
+/// A subcommand's name and the function that parses its arguments.
+type Command = (&'static str, fn(&[String]) -> Result<Action<'_>, String>);
+
+const COMMANDS: &[Command] = &[
+    ("check", check_cmd),
+    ("report", report_cmd),
+    ("bench", bench_cmd),
+    ("serve", serve_cmd),
+    ("campaign", campaign_cmd),
+];
+
+/// Run one `smcsim` command line (without the program name).
+///
+/// # Errors
+///
+/// The exit status and the message for stderr: 2 for bad arguments, 1 for
+/// a failed run, a conformance violation, or a gate regression.
+pub fn run(args: &[String]) -> Result<String, (u8, String)> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(format!("{USAGE}\n"));
+    }
+    let action = match COMMANDS
+        .iter()
+        .find(|(name, _)| args.first().is_some_and(|a| a == name))
+    {
+        Some((_, command)) => command(&args[1..]),
+        None => parse(args).map(|job| Box::new(move || execute(&job)) as Action),
+    }
+    .map_err(|e| (2, e))?;
+    action().map_err(|e| (1, e))
 }
 
 /// Run the job and format its result.
@@ -412,109 +522,118 @@ pub fn run_check(path: &str) -> Result<String, String> {
     }
 }
 
+fn check_cmd(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse("check", USAGE, &[], true, args)?;
+    let &[path] = f.positionals.as_slice() else {
+        return Err(format!("check needs a trace file\n{USAGE}"));
+    };
+    Ok(Box::new(move || {
+        run_check(path).map(|report| report + "\n")
+    }))
+}
+
 /// `smcsim report`: render a metrics JSONL dump as a table and, optionally,
 /// validate a Perfetto trace file's structure.
 ///
 /// # Errors
 ///
-/// A human-readable message when a file cannot be read, the metrics dump is
-/// malformed, or the Perfetto trace fails schema validation.
+/// A human-readable message for bad flags, when a file cannot be read, the
+/// metrics dump is malformed, or the Perfetto trace fails schema validation.
 pub fn run_report(args: &[String]) -> Result<String, String> {
-    let mut metrics_path: Option<String> = None;
-    let mut perfetto_path: Option<String> = None;
-    let mut attribution_path: Option<String> = None;
-    let mut percentiles_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics" => metrics_path = Some(value(args, &mut i, "--metrics")?),
-            "--perfetto" => perfetto_path = Some(value(args, &mut i, "--perfetto")?),
-            "--attribution" => attribution_path = Some(value(args, &mut i, "--attribution")?),
-            "--percentiles" => percentiles_path = Some(value(args, &mut i, "--percentiles")?),
-            "--prom" => prom_path = Some(value(args, &mut i, "--prom")?),
-            other => return Err(format!("report: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    let mut out = String::new();
-    let section = |out: &mut String, text: &str| {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(text);
-    };
-    if let Some(path) = &metrics_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read metrics {path}: {e}"))?;
-        let table = metrics::table_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(&mut out, &table.render());
-    }
-    if let Some(path) = &attribution_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read attribution {path}: {e}"))?;
-        let attr =
-            telemetry::CycleAttribution::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(&mut out, &crate::observe::render_attribution(&attr));
-    }
-    if let Some(path) = &percentiles_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read trace stream {path}: {e}"))?;
-        let trace = crate::observe::trace_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        let (completed, failed, shed, rejected) = trace.outcome_totals();
-        section(
-            &mut out,
-            &format!(
-                "{path}: {} spans ({completed} completed, {failed} failed, {shed} shed, \
-                 {rejected} rejected), {} incidents\n{}",
-                trace.spans().len(),
-                trace.incidents().len(),
-                crate::observe::percentiles_table(&trace).render(),
-            ),
-        );
-    }
-    if let Some(path) = &prom_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read exposition {path}: {e}"))?;
-        let summary = telemetry::exposition::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(
-            &mut out,
-            &format!(
-                "{path}: OK ({} families, {} samples, {} histograms)\n",
-                summary.families, summary.samples, summary.histograms,
-            ),
-        );
-    }
-    if let Some(path) = &perfetto_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read Perfetto trace {path}: {e}"))?;
-        let summary = telemetry::perfetto::validate(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(
-            &mut out,
-            &format!(
-                "{path}: OK ({} events over {} tracks: {} spans, {} counter samples, \
-                 {} instants)\n",
-                summary.events,
-                summary.tracks,
-                summary.complete_events,
-                summary.counter_events,
-                summary.instant_events,
-            ),
-        );
-    }
-    if out.is_empty() {
+    report_cmd(args)?()
+}
+
+fn report_cmd(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse(
+        "report",
+        USAGE,
+        &[
+            ("--metrics", true),
+            ("--perfetto", true),
+            ("--attribution", true),
+            ("--percentiles", true),
+            ("--prom", true),
+        ],
+        false,
+        args,
+    )?;
+    if f.given.is_empty() {
         return Err(format!(
             "report needs --metrics, --attribution, --percentiles, --prom, \
              and/or --perfetto\n{USAGE}"
         ));
     }
-    Ok(out)
+    Ok(Box::new(move || {
+        let mut out = String::new();
+        let section = |out: &mut String, text: &str| {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push_str(text);
+        };
+        if let Some(path) = f.value("--metrics") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read metrics {path}: {e}"))?;
+            let table = metrics::table_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+            section(&mut out, &table.render());
+        }
+        if let Some(path) = f.value("--attribution") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read attribution {path}: {e}"))?;
+            let attr = telemetry::CycleAttribution::from_json(&text)
+                .map_err(|e| format!("{path}: {e}"))?;
+            section(&mut out, &crate::observe::render_attribution(&attr));
+        }
+        if let Some(path) = f.value("--percentiles") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read trace stream {path}: {e}"))?;
+            let trace =
+                crate::observe::trace_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+            let (completed, failed, shed, rejected) = trace.outcome_totals();
+            section(
+                &mut out,
+                &format!(
+                    "{path}: {} spans ({completed} completed, {failed} failed, {shed} shed, \
+                     {rejected} rejected), {} incidents\n{}",
+                    trace.spans().len(),
+                    trace.incidents().len(),
+                    crate::observe::percentiles_table(&trace).render(),
+                ),
+            );
+        }
+        if let Some(path) = f.value("--prom") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read exposition {path}: {e}"))?;
+            let summary =
+                telemetry::exposition::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+            section(
+                &mut out,
+                &format!(
+                    "{path}: OK ({} families, {} samples, {} histograms)\n",
+                    summary.families, summary.samples, summary.histograms,
+                ),
+            );
+        }
+        if let Some(path) = f.value("--perfetto") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read Perfetto trace {path}: {e}"))?;
+            let summary =
+                telemetry::perfetto::validate(&text).map_err(|e| format!("{path}: {e}"))?;
+            section(
+                &mut out,
+                &format!(
+                    "{path}: OK ({} events over {} tracks: {} spans, {} counter samples, \
+                     {} instants)\n",
+                    summary.events,
+                    summary.tracks,
+                    summary.complete_events,
+                    summary.counter_events,
+                    summary.instant_events,
+                ),
+            );
+        }
+        Ok(out)
+    }))
 }
 
 /// `smcsim bench`: run the paper's four kernels under both orderings,
@@ -523,100 +642,79 @@ pub fn run_report(args: &[String]) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// A human-readable message for bad arguments, a failed run, or an
-/// unwritable output file.
+/// A human-readable message for bad arguments, a failed run, an
+/// unwritable output file, or a rate below the baseline's floor.
 pub fn run_bench(args: &[String]) -> Result<String, String> {
-    let mut n: u64 = 1024;
-    let mut out_path = "BENCH_telemetry.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut floor_permille: u64 = 50;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = args
-                    .get(i)
-                    .ok_or_else(|| "--n needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--n: {e}"))?;
-            }
-            "--out" => {
-                i += 1;
-                out_path = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| "--out needs a value".to_string())?;
-            }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--baseline needs a value".to_string())?,
-                );
-            }
-            "--floor-permille" => {
-                i += 1;
-                floor_permille = args
-                    .get(i)
-                    .ok_or_else(|| "--floor-permille needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--floor-permille: {e}"))?;
-            }
-            other => return Err(format!("bench: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
+    bench_cmd(args)?()
+}
+
+fn bench_cmd(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse(
+        "bench",
+        USAGE,
+        &[
+            ("--n", true),
+            ("--out", true),
+            ("--baseline", true),
+            ("--floor-permille", true),
+        ],
+        false,
+        args,
+    )?;
+    let n: u64 = f.get("--n", str::parse)?.unwrap_or(1024);
     if n == 0 {
         return Err("--n must be positive".into());
     }
-    let mut profiler = Profiler::new();
-    let mut out = String::from("kernel  ordering  cycles  sim-cycles/s\n");
-    for kernel in Kernel::PAPER_SUITE {
-        for (cfg, ordering) in [
-            (
-                SystemConfig::smc(MemorySystem::CacheLineInterleaved, 64),
-                "smc",
-            ),
-            (
-                SystemConfig::natural_order(MemorySystem::CacheLineInterleaved),
-                "natural",
-            ),
-        ] {
-            let start = std::time::Instant::now();
-            let r = run_kernel(kernel, n, 1, &cfg)
-                .map_err(|e| format!("bench {} ({ordering}): {e}", kernel.name()))?;
-            let percent_peak_milli = crate::sweep::stats_of(&r).percent_peak_milli;
-            profiler.record(
-                kernel.name(),
-                ordering,
-                r.cycles,
-                percent_peak_milli,
-                start.elapsed(),
-            );
-            let rec = profiler
-                .records()
-                .last()
-                .ok_or_else(|| "profiler recorded nothing".to_string())?;
-            out.push_str(&format!(
-                "{}  {}  {}  {}\n",
-                rec.kernel, rec.ordering, rec.cycles, rec.cycles_per_sec
-            ));
+    let floor_permille: u64 = f.get("--floor-permille", str::parse)?.unwrap_or(50);
+    Ok(Box::new(move || {
+        let mut profiler = Profiler::new();
+        let mut out = String::from("kernel  ordering  cycles  sim-cycles/s\n");
+        for kernel in Kernel::PAPER_SUITE {
+            for (cfg, ordering) in [
+                (
+                    SystemConfig::smc(MemorySystem::CacheLineInterleaved, 64),
+                    "smc",
+                ),
+                (
+                    SystemConfig::natural_order(MemorySystem::CacheLineInterleaved),
+                    "natural",
+                ),
+            ] {
+                let start = std::time::Instant::now();
+                let r = run_kernel(kernel, n, 1, &cfg)
+                    .map_err(|e| format!("bench {} ({ordering}): {e}", kernel.name()))?;
+                let percent_peak_milli = crate::sweep::stats_of(&r).percent_peak_milli;
+                profiler.record(
+                    kernel.name(),
+                    ordering,
+                    r.cycles,
+                    percent_peak_milli,
+                    start.elapsed(),
+                );
+                let rec = profiler
+                    .records()
+                    .last()
+                    .ok_or_else(|| "profiler recorded nothing".to_string())?;
+                out.push_str(&format!(
+                    "{}  {}  {}  {}\n",
+                    rec.kernel, rec.ordering, rec.cycles, rec.cycles_per_sec
+                ));
+            }
         }
-    }
-    std::fs::write(&out_path, profiler.to_json())
-        .map_err(|e| format!("cannot write profile to {out_path}: {e}"))?;
-    out.push_str(&format!("profile written to {out_path}\n"));
-    if let Some(baseline_path) = baseline {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read bench baseline {baseline_path}: {e}"))?;
-        let verdict = telemetry::bench::compare_to_baseline(&text, &profiler, floor_permille)
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        out.push_str(&verdict);
-        out.push('\n');
-    }
-    Ok(out)
+        let out_path = f.value("--out").unwrap_or("BENCH_telemetry.json");
+        std::fs::write(out_path, profiler.to_json())
+            .map_err(|e| format!("cannot write profile to {out_path}: {e}"))?;
+        out.push_str(&format!("profile written to {out_path}\n"));
+        if let Some(baseline_path) = f.value("--baseline") {
+            let text = std::fs::read_to_string(baseline_path)
+                .map_err(|e| format!("cannot read bench baseline {baseline_path}: {e}"))?;
+            let verdict = telemetry::bench::compare_to_baseline(&text, &profiler, floor_permille)
+                .map_err(|e| format!("{baseline_path}: {e}"))?;
+            out.push_str(&verdict);
+            out.push('\n');
+        }
+        Ok(out)
+    }))
 }
 
 /// `smcsim serve`: multiplex a multi-tenant mix onto the SMC through the
@@ -627,173 +725,104 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
 /// A human-readable message for bad flags, a malformed tenant mix, an
 /// invalid serve configuration, or a serve run that blew its cycle budget.
 pub fn run_serve_cmd(args: &[String]) -> Result<String, String> {
-    let mut mix_spec: Option<String> = None;
-    let mut memory = MemorySystem::CacheLineInterleaved;
-    let mut fifo = 64usize;
-    let mut channels = 1usize;
-    let mut placement = memsys::Placement::default();
-    let mut remote_penalty: Vec<u64> = Vec::new();
-    let mut arb = "fcfs".to_string();
-    let mut queue_cap: Option<usize> = None;
-    let mut budget_permille: u64 = 0;
-    let mut faults_spec: Option<String> = None;
-    let mut fault_seed: u64 = 0;
-    let mut chaos_spec: Option<String> = None;
-    let mut chaos_seed: u64 = 0;
-    let mut retry_budget: u32 = 0;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut perfetto_out: Option<String> = None;
-    let mut json = false;
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tenants" => mix_spec = Some(value(args, &mut i, "--tenants")?),
-            "--memory" => {
-                memory = match value(args, &mut i, "--memory")?.as_str() {
-                    "cli" => MemorySystem::CacheLineInterleaved,
-                    "pi" => MemorySystem::PageInterleaved,
-                    other => return Err(format!("--memory must be cli or pi, got {other:?}")),
-                };
-            }
-            "--fifo" => {
-                fifo = value(args, &mut i, "--fifo")?
-                    .parse()
-                    .map_err(|e| format!("--fifo: {e}"))?;
-            }
-            "--channels" => {
-                channels = value(args, &mut i, "--channels")?
-                    .parse()
-                    .map_err(|e| format!("--channels: {e}"))?;
-            }
-            "--placement" => {
-                let spec = value(args, &mut i, "--placement")?;
-                placement =
-                    memsys::Placement::parse(&spec).map_err(|e| format!("--placement: {e}"))?;
-            }
-            "--remote-penalty" => {
-                let spec = value(args, &mut i, "--remote-penalty")?;
-                remote_penalty = spec
-                    .split(',')
-                    .map(|part| {
-                        part.trim()
-                            .parse()
-                            .map_err(|e| format!("--remote-penalty: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--arb" => arb = value(args, &mut i, "--arb")?,
-            "--queue-cap" => {
-                queue_cap = Some(
-                    value(args, &mut i, "--queue-cap")?
-                        .parse()
-                        .map_err(|e| format!("--queue-cap: {e}"))?,
-                );
-            }
-            "--budget-permille" => {
-                budget_permille = value(args, &mut i, "--budget-permille")?
-                    .parse()
-                    .map_err(|e| format!("--budget-permille: {e}"))?;
-            }
-            "--faults" => faults_spec = Some(value(args, &mut i, "--faults")?),
-            "--fault-seed" => {
-                fault_seed = value(args, &mut i, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--chaos" => chaos_spec = Some(value(args, &mut i, "--chaos")?),
-            "--chaos-seed" => {
-                chaos_seed = value(args, &mut i, "--chaos-seed")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-seed: {e}"))?;
-            }
-            "--retry-budget" => {
-                retry_budget = value(args, &mut i, "--retry-budget")?
-                    .parse()
-                    .map_err(|e| format!("--retry-budget: {e}"))?;
-            }
-            "--metrics-out" => metrics_out = Some(value(args, &mut i, "--metrics-out")?),
-            "--trace-out" => trace_out = Some(value(args, &mut i, "--trace-out")?),
-            "--perfetto-out" => perfetto_out = Some(value(args, &mut i, "--perfetto-out")?),
-            "--json" => json = true,
-            other => return Err(format!("serve: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    let mix_spec = mix_spec.ok_or_else(|| format!("serve needs --tenants MIX\n{USAGE}"))?;
-    let mix = tenancy::TenantMix::parse(&mix_spec).map_err(|e| e.to_string())?;
+    serve_cmd(args)?()
+}
+
+/// `serve`'s flags besides [`SYSTEM_FLAGS`].
+const SERVE_FLAGS: &FlagTable = &[
+    ("--tenants", true),
+    ("--arb", true),
+    ("--queue-cap", true),
+    ("--budget-permille", true),
+    ("--chaos", true),
+    ("--chaos-seed", true),
+    ("--retry-budget", true),
+    ("--metrics-out", true),
+    ("--trace-out", true),
+    ("--perfetto-out", true),
+    ("--json", false),
+];
+
+fn serve_cmd(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse(
+        "serve",
+        USAGE,
+        &[SYSTEM_FLAGS, SERVE_FLAGS].concat(),
+        false,
+        args,
+    )?;
+    let mix_spec = f
+        .value("--tenants")
+        .ok_or_else(|| format!("serve needs --tenants MIX\n{USAGE}"))?;
+    let mix = tenancy::TenantMix::parse(mix_spec).map_err(|e| e.to_string())?;
     if mix.is_empty() {
         return Err("serve needs a non-empty tenant mix".to_string());
     }
-    let mut base = SystemConfig::smc(memory, fifo);
-    base.channels = channels;
-    base.placement = placement;
-    base.remote_penalty = remote_penalty;
-    if let Some(spec) = faults_spec {
-        let plan = faults::FaultPlan::parse(&spec).map_err(|e| e.to_string())?;
-        base = base.with_faults(plan, fault_seed);
-    }
-    if let Some(spec) = chaos_spec {
-        let plan = faults::FaultPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?;
+    crate::serve::validate_mix(&mix)?;
+    let mut base = SystemConfig::smc(MemorySystem::CacheLineInterleaved, 64);
+    apply_system_flags(&f, &mut base)?;
+    let chaos_seed = f.get("--chaos-seed", str::parse)?.unwrap_or(0);
+    if let Some(plan) = f.get("--chaos", faults::FaultPlan::parse)? {
         base = base.with_chaos(plan, chaos_seed);
     }
     let banks = base.device.total_banks() * base.channels.max(1);
+    let budget_permille = f.get("--budget-permille", str::parse)?.unwrap_or(0);
     let mut cfg = crate::serve::serve_config_for(banks, budget_permille, base.device.timing.t_pack);
-    cfg.policy = arb;
-    if let Some(cap) = queue_cap {
-        cfg.queue_capacity = cap;
-    }
+    cfg.policy = f.value("--arb").unwrap_or("fcfs").to_string();
+    tenancy::policy_by_name(&cfg.policy)?;
+    cfg.queue_capacity = f
+        .get("--queue-cap", str::parse)?
+        .unwrap_or(cfg.queue_capacity);
+    let retry_budget = f.get("--retry-budget", str::parse)?.unwrap_or(0);
     if retry_budget != 0 {
         cfg.retry = tenancy::RetryPolicy::with_budget(retry_budget, chaos_seed);
     }
-    // Tracing is opt-in: the untraced path stays byte-identical to what it
-    // produced before the trace surfaces existed. Chaos and closed-loop
-    // retries route through the chaos runner so the degraded-mode totals
-    // come back; a plain serve never touches that path, so its output is
-    // byte-identical to builds without the chaos layer.
-    let tracing = trace_out.is_some() || perfetto_out.is_some();
-    let chaotic = base.chaos_active() || retry_budget != 0;
-    let (report, trace, chaos_total) = if chaotic {
-        let (report, trace, total) = crate::serve::run_serve_chaos(&mix, &cfg, &base)?;
-        (report, tracing.then_some(trace), Some(total))
-    } else if tracing {
-        let (report, trace) = crate::serve::run_serve_traced(&mix, &cfg, &base)?;
-        (report, Some(trace), None)
-    } else {
-        (crate::serve::run_serve(&mix, &cfg, &base)?, None, None)
-    };
-    if let Some(trace) = &trace {
-        if let Some(path) = &trace_out {
-            std::fs::write(path, crate::observe::trace_jsonl(trace))
-                .map_err(|e| format!("cannot write trace stream to {path}: {e}"))?;
-        }
-        if let Some(path) = &perfetto_out {
-            std::fs::write(path, crate::observe::serve_perfetto(trace))
-                .map_err(|e| format!("cannot write Perfetto trace to {path}: {e}"))?;
-        }
-    }
-    if let Some(path) = &metrics_out {
-        let mut registry = telemetry::Registry::new();
-        crate::serve::record_serve_metrics(&report, &mut registry);
+    Ok(Box::new(move || {
+        let (trace_out, perfetto_out) = (f.value("--trace-out"), f.value("--perfetto-out"));
+        // Tracing is opt-in: the untraced path stays byte-identical to what
+        // it produced before the trace surfaces existed. Chaos and
+        // closed-loop retries route through the chaos runner so the
+        // degraded-mode totals come back; a plain serve never touches that
+        // path, so its output is byte-identical to builds without the chaos
+        // layer.
+        let tracing = trace_out.is_some() || perfetto_out.is_some();
+        let chaotic = base.chaos_active() || retry_budget != 0;
+        let (report, trace, chaos_total) = if chaotic {
+            let (report, trace, total) = crate::serve::run_serve_chaos(&mix, &cfg, &base)?;
+            (report, tracing.then_some(trace), Some(total))
+        } else if tracing {
+            let (report, trace) = crate::serve::run_serve_traced(&mix, &cfg, &base)?;
+            (report, Some(trace), None)
+        } else {
+            (crate::serve::run_serve(&mix, &cfg, &base)?, None, None)
+        };
         if let Some(trace) = &trace {
-            crate::serve::record_trace_metrics(trace, &mut registry);
+            if let Some(path) = trace_out {
+                std::fs::write(path, crate::observe::trace_jsonl(trace))
+                    .map_err(|e| format!("cannot write trace stream to {path}: {e}"))?;
+            }
+            if let Some(path) = perfetto_out {
+                std::fs::write(path, crate::observe::serve_perfetto(trace))
+                    .map_err(|e| format!("cannot write Perfetto trace to {path}: {e}"))?;
+            }
         }
-        if let Some(total) = &chaos_total {
-            crate::serve::record_chaos_metrics(total, &mut registry);
+        if let Some(path) = f.value("--metrics-out") {
+            let mut registry = telemetry::Registry::new();
+            crate::serve::record_serve_metrics(&report, &mut registry);
+            if let Some(trace) = &trace {
+                crate::serve::record_trace_metrics(trace, &mut registry);
+            }
+            if let Some(total) = &chaos_total {
+                crate::serve::record_chaos_metrics(total, &mut registry);
+            }
+            std::fs::write(path, registry.to_jsonl())
+                .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
         }
-        std::fs::write(path, registry.to_jsonl())
-            .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-    }
-    if json {
-        return Ok(serve_report_json(&report, chaos_total.as_ref()));
-    }
-    Ok(render_serve_report(&report, chaos_total.as_ref()))
+        if f.has("--json") {
+            return Ok(serve_report_json(&report, chaos_total.as_ref()));
+        }
+        Ok(render_serve_report(&report, chaos_total.as_ref()))
+    }))
 }
 
 /// Render a serve report as the CLI's text summary. The chaos block only
@@ -945,6 +974,10 @@ fn serve_report_json(
 /// store, an unwritable output file — or the rendered diff report when the
 /// gate finds a regression.
 pub fn run_campaign_cmd(args: &[String]) -> Result<String, String> {
+    campaign_cmd(args)?()
+}
+
+fn campaign_cmd(args: &[String]) -> Result<Action<'_>, String> {
     match args.first().map(String::as_str) {
         Some("run") => campaign_run(&args[1..]),
         Some("list") => campaign_list(&args[1..]),
@@ -964,150 +997,124 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn campaign_run(args: &[String]) -> Result<String, String> {
-    let mut spec_path: Option<String> = None;
-    let mut workers = default_workers();
-    let mut out_path: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut bench_baseline: Option<String> = None;
-    let mut bench_floor_permille: u64 = 50;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .ok_or_else(|| "--workers needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if workers == 0 {
-                    return Err("--workers must be positive".into());
-                }
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--out needs a value".to_string())?,
-                );
-            }
-            "--bench-out" => {
-                i += 1;
-                bench_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--bench-out needs a value".to_string())?,
-                );
-            }
-            "--bench-baseline" => {
-                i += 1;
-                bench_baseline = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--bench-baseline needs a value".to_string())?,
-                );
-            }
-            "--bench-floor-permille" => {
-                i += 1;
-                bench_floor_permille = args
-                    .get(i)
-                    .ok_or_else(|| "--bench-floor-permille needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--bench-floor-permille: {e}"))?;
-            }
-            "--quiet" => quiet = true,
-            other if !other.starts_with("--") && spec_path.is_none() => {
-                spec_path = Some(other.to_string());
-            }
-            other => return Err(format!("campaign run: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    let spec_path = spec_path.ok_or_else(|| format!("campaign run needs a spec file\n{USAGE}"))?;
-    let spec = load_spec(&spec_path)?;
-    let points = campaign::expand(&spec);
-    let progress = |done: usize, total: usize| {
-        eprintln!("campaign {}: {done}/{total} runs complete", spec.name);
+fn campaign_run(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse(
+        "campaign run",
+        USAGE,
+        &[
+            ("--workers", true),
+            ("--out", true),
+            ("--bench-out", true),
+            ("--bench-baseline", true),
+            ("--bench-floor-permille", true),
+            ("--quiet", false),
+        ],
+        true,
+        args,
+    )?;
+    let &[spec_path] = f.positionals.as_slice() else {
+        return Err(format!("campaign run needs a spec file\n{USAGE}"));
     };
-    let store = campaign::run_points(
-        &spec.name,
-        &points,
-        workers,
-        &crate::sweep::run_point,
-        if quiet { None } else { Some(&progress) },
-    );
-    let out_path = out_path.unwrap_or_else(|| format!("{}.results.jsonl", spec.name));
-    std::fs::write(&out_path, store.to_jsonl())
-        .map_err(|e| format!("cannot write results to {out_path}: {e}"))?;
-    let mut out = format!(
-        "campaign {}: {} runs ({} ok, {} failed) on {} workers\nresults written to {}\n",
-        spec.name,
-        store.records.len(),
-        store.completed(),
-        store.errored(),
-        workers,
-        out_path
-    );
-    for record in &store.records {
-        if let campaign::Outcome::Error(e) = &record.outcome {
-            out.push_str(&format!(
-                "  failed {} ({}): {e}\n",
-                record.run_id,
-                record.point.key()
-            ));
-        }
+    let workers = f
+        .get("--workers", str::parse)?
+        .unwrap_or_else(default_workers);
+    if workers == 0 {
+        return Err("--workers must be positive".into());
     }
-    if let Some(bench_path) = bench_out {
-        // Measure runs/second at a 1 .. N/2 .. N worker ladder so the
-        // executor speedup is a recorded artifact.
-        let mut ladder = vec![1usize];
-        for w in [workers.div_ceil(2), workers] {
-            if !ladder.contains(&w) {
-                ladder.push(w);
-            }
-        }
-        let report = campaign::bench_campaign(&spec, &ladder, &crate::sweep::run_point);
-        std::fs::write(&bench_path, report.to_json())
-            .map_err(|e| format!("cannot write bench profile to {bench_path}: {e}"))?;
-        for sample in &report.samples {
-            out.push_str(&format!(
-                "bench: {} workers -> {} runs/s\n",
-                sample.workers,
-                campaign::milli_percent(sample.runs_per_sec_milli)
-            ));
-        }
-        out.push_str(&format!("bench profile written to {bench_path}\n"));
-        if let Some(baseline_path) = bench_baseline {
-            let text = std::fs::read_to_string(&baseline_path)
-                .map_err(|e| format!("cannot read bench baseline {baseline_path}: {e}"))?;
-            let verdict =
-                campaign::bench::compare_to_baseline(&text, &report, bench_floor_permille)
-                    .map_err(|e| format!("{baseline_path}: {e}"))?;
-            out.push_str(&verdict);
-            out.push('\n');
-        }
-    } else if bench_baseline.is_some() {
+    let bench_floor_permille = f.get("--bench-floor-permille", str::parse)?.unwrap_or(50);
+    if f.has("--bench-baseline") && !f.has("--bench-out") {
         return Err("--bench-baseline needs --bench-out (a fresh benchmark to compare)".into());
     }
-    Ok(out)
+    Ok(Box::new(move || {
+        let spec = load_spec(spec_path)?;
+        let points = campaign::expand(&spec);
+        let progress = |done: usize, total: usize| {
+            eprintln!("campaign {}: {done}/{total} runs complete", spec.name);
+        };
+        let store = campaign::run_points(
+            &spec.name,
+            &points,
+            workers,
+            &crate::sweep::run_point,
+            if f.has("--quiet") {
+                None
+            } else {
+                Some(&progress)
+            },
+        );
+        let out_path = f
+            .value("--out")
+            .map_or_else(|| format!("{}.results.jsonl", spec.name), String::from);
+        std::fs::write(&out_path, store.to_jsonl())
+            .map_err(|e| format!("cannot write results to {out_path}: {e}"))?;
+        let mut out = format!(
+            "campaign {}: {} runs ({} ok, {} failed) on {} workers\nresults written to {}\n",
+            spec.name,
+            store.records.len(),
+            store.completed(),
+            store.errored(),
+            workers,
+            out_path
+        );
+        for record in &store.records {
+            if let campaign::Outcome::Error(e) = &record.outcome {
+                out.push_str(&format!(
+                    "  failed {} ({}): {e}\n",
+                    record.run_id,
+                    record.point.key()
+                ));
+            }
+        }
+        if let Some(bench_path) = f.value("--bench-out") {
+            // Measure runs/second at a 1 .. N/2 .. N worker ladder so the
+            // executor speedup is a recorded artifact.
+            let mut ladder = vec![1usize];
+            for w in [workers.div_ceil(2), workers] {
+                if !ladder.contains(&w) {
+                    ladder.push(w);
+                }
+            }
+            let report = campaign::bench_campaign(&spec, &ladder, &crate::sweep::run_point);
+            std::fs::write(bench_path, report.to_json())
+                .map_err(|e| format!("cannot write bench profile to {bench_path}: {e}"))?;
+            for sample in &report.samples {
+                out.push_str(&format!(
+                    "bench: {} workers -> {} runs/s\n",
+                    sample.workers,
+                    campaign::milli_percent(sample.runs_per_sec_milli)
+                ));
+            }
+            out.push_str(&format!("bench profile written to {bench_path}\n"));
+            if let Some(baseline_path) = f.value("--bench-baseline") {
+                let text = std::fs::read_to_string(baseline_path)
+                    .map_err(|e| format!("cannot read bench baseline {baseline_path}: {e}"))?;
+                let verdict =
+                    campaign::bench::compare_to_baseline(&text, &report, bench_floor_permille)
+                        .map_err(|e| format!("{baseline_path}: {e}"))?;
+                out.push_str(&verdict);
+                out.push('\n');
+            }
+        }
+        Ok(out)
+    }))
 }
 
-fn campaign_list(args: &[String]) -> Result<String, String> {
-    let [spec_path] = args else {
+fn campaign_list(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse("campaign list", USAGE, &[], true, args)?;
+    let &[spec_path] = f.positionals.as_slice() else {
         return Err(format!(
             "campaign list needs exactly one spec file\n{USAGE}"
         ));
     };
-    let spec = load_spec(spec_path)?;
-    let points = campaign::expand(&spec);
-    let mut out = format!("campaign {}: {} runs\n", spec.name, points.len());
-    for point in &points {
-        out.push_str(&format!("{}  {}\n", point.run_id(), point.key()));
-    }
-    Ok(out)
+    Ok(Box::new(move || {
+        let spec = load_spec(spec_path)?;
+        let points = campaign::expand(&spec);
+        let mut out = format!("campaign {}: {} runs\n", spec.name, points.len());
+        for point in &points {
+            out.push_str(&format!("{}  {}\n", point.run_id(), point.key()));
+        }
+        Ok(out)
+    }))
 }
 
 fn load_store(path: &str) -> Result<campaign::ResultsStore, String> {
@@ -1116,47 +1123,37 @@ fn load_store(path: &str) -> Result<campaign::ResultsStore, String> {
     campaign::ResultsStore::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn campaign_diff(args: &[String]) -> Result<String, String> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut tol = campaign::Tolerance::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cycles-tol-permille" => {
-                i += 1;
-                tol.cycles_permille = args
-                    .get(i)
-                    .ok_or_else(|| "--cycles-tol-permille needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--cycles-tol-permille: {e}"))?;
-            }
-            "--peak-tol-milli" => {
-                i += 1;
-                tol.peak_milli = args
-                    .get(i)
-                    .ok_or_else(|| "--peak-tol-milli needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--peak-tol-milli: {e}"))?;
-            }
-            other if !other.starts_with("--") => paths.push(other.to_string()),
-            other => return Err(format!("campaign diff: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    let [golden_path, current_path] = paths.as_slice() else {
+fn campaign_diff(args: &[String]) -> Result<Action<'_>, String> {
+    let f = Flags::parse(
+        "campaign diff",
+        USAGE,
+        &[("--cycles-tol-permille", true), ("--peak-tol-milli", true)],
+        true,
+        args,
+    )?;
+    let &[golden_path, current_path] = f.positionals.as_slice() else {
         return Err(format!(
             "campaign diff needs GOLDEN.jsonl and CURRENT.jsonl\n{USAGE}"
         ));
     };
-    let golden = load_store(golden_path)?;
-    let current = load_store(current_path)?;
-    let report = campaign::diff_stores(&golden, &current, tol);
-    let rendered = report.render();
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(rendered)
-    }
+    let mut tol = campaign::Tolerance::default();
+    tol.cycles_permille = f
+        .get("--cycles-tol-permille", str::parse)?
+        .unwrap_or(tol.cycles_permille);
+    tol.peak_milli = f
+        .get("--peak-tol-milli", str::parse)?
+        .unwrap_or(tol.peak_milli);
+    Ok(Box::new(move || {
+        let golden = load_store(golden_path)?;
+        let current = load_store(current_path)?;
+        let report = campaign::diff_stores(&golden, &current, tol);
+        let rendered = report.render();
+        if report.is_clean() {
+            Ok(rendered)
+        } else {
+            Err(rendered)
+        }
+    }))
 }
 
 fn summarize(r: &RunResult) -> String {
@@ -1718,5 +1715,63 @@ mod tests {
             "{err}"
         );
         assert!(err.contains("busy:*:1:1"), "error names the plan: {err}");
+    }
+
+    #[test]
+    fn a_flag_never_takes_the_next_flag_as_its_value() {
+        let err = parse(&args("--n 64 --record-trace --json")).unwrap_err();
+        assert!(err.contains("--record-trace needs a value"), "{err}");
+        type Run = fn(&[String]) -> Result<String, String>;
+        let cases: [(Run, &str, &str); 5] = [
+            (
+                run_serve_cmd,
+                "--tenants ls:1:daxpy:64 --metrics-out --json",
+                "--metrics-out",
+            ),
+            (run_report, "--metrics --prom m.prom", "--metrics"),
+            (run_bench, "--out --n 64", "--out"),
+            (run_campaign_cmd, "run spec.json --out --quiet", "--out"),
+            (
+                run_campaign_cmd,
+                "diff a.jsonl b.jsonl --cycles-tol-permille --peak-tol-milli 1",
+                "--cycles-tol-permille",
+            ),
+        ];
+        for (run, line, flag) in cases {
+            let err = run(&args(line)).unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} needs a value")),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn shallow_fifos_and_zero_cycle_cpus_are_configuration_errors() {
+        for line in ["--fifo 0", "--fifo 1", "--cpu-cycles 0"] {
+            let job = parse(&args(&format!("--kernel copy --n 64 {line}"))).unwrap();
+            let err = execute(&job).unwrap_err();
+            assert!(err.contains("invalid configuration"), "{line}: {err}");
+        }
+        // serve absorbs each request's failure instead of aborting.
+        let text = run_serve_cmd(&args("--tenants ls:1:daxpy:64 --fifo 1")).unwrap();
+        assert!(text.contains(", 0 completed,"), "{text}");
+
+        let dir = std::env::temp_dir().join("smcsim-cli-shallow-fifo-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec_path = dir.join("spec.json").to_str().unwrap().to_string();
+        std::fs::write(
+            &spec_path,
+            "{\"schema\": 1, \"name\": \"shallow\", \
+             \"axes\": {\"kernel\": [\"copy\"], \"fifo\": [1, 64], \"n\": [64]}}",
+        )
+        .unwrap();
+        let store = dir.join("r.jsonl").to_str().unwrap().to_string();
+        let out = run_campaign_cmd(&args(&format!(
+            "run {spec_path} --workers 1 --out {store} --quiet"
+        )))
+        .unwrap();
+        assert!(out.contains("2 runs (1 ok, 1 failed)"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

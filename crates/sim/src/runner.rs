@@ -166,7 +166,8 @@ fn seed(mem: &mut MemoryImage, kernel: Kernel, bases: &[u64], n: u64, stride: u6
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] for an invalid device or address map, and — under
+/// [`SimError::Config`] for an invalid device or address map, an SMC FIFO
+/// too shallow for one DATA packet, or a zero-cycle CPU, and — under
 /// fault injection — [`SimError::Controller`] for livelocks, protocol
 /// violations, or exhausted retry budgets, or [`SimError::Budget`] if the
 /// faults slow the run past its cycle budget.
@@ -185,6 +186,18 @@ pub fn run_kernel(
     cfg.device
         .validate()
         .map_err(|e| SimError::Config(format!("invalid device config: {e}")))?;
+    if let AccessOrder::Smc { fifo_depth } = cfg.ordering {
+        if fifo_depth < 2 {
+            return Err(SimError::Config(format!(
+                "SMC FIFO depth {fifo_depth} cannot hold one DATA packet (2 elements)"
+            )));
+        }
+    }
+    if cfg.cpu_access_cycles == 0 {
+        return Err(SimError::Config(
+            "the CPU needs at least one cycle per stream access".into(),
+        ));
+    }
     let inner_map = AddressMap::new(cfg.memory.interleave(cfg.line_bytes), &cfg.device)
         .map_err(|e| SimError::Config(format!("invalid address map: {e}")))?;
     let topo = cfg.topology();
